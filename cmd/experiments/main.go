@@ -26,8 +26,7 @@ func main() {
 	threads := flag.Int("threads", 16, "maximum worker count")
 	bench := flag.String("bench", "", "comma-separated benchmark names (default: all 20)")
 	jsonOn := flag.Bool("json", false, "write the machine-readable report (bench experiment)")
-	jsonOut := flag.String("json-out", "BENCH_runs.json", "path for the -json report (a history file; runs append or replace by -label)")
-	label := flag.String("label", "", "label for the report in the history (same label replaces the earlier entry)")
+	jsonOut := flag.String("json-out", "BENCH_runs.json", "path for the -json report (overwritten)")
 	rev := flag.String("rev", "", "git revision to stamp the report with (default: auto-detect)")
 	flag.Parse()
 
@@ -43,7 +42,6 @@ func main() {
 	if *jsonOn {
 		opts.JSONPath = *jsonOut
 	}
-	opts.Label = *label
 	opts.GitRev = *rev
 	if opts.GitRev == "" {
 		if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {

@@ -215,8 +215,9 @@ func (s *Solver) FlowsTo(o pag.NodeID, c pag.Context) Result {
 
 // Alias reports whether variables a and b may alias: whether their points-to
 // sets share an allocation site. Both sub-queries run under the solver's
-// budget; if either aborts, ok is false and the boolean is a may-alias
-// over-approximation based on the partial sets.
+// budget; if either aborts, ok is false and the answer comes from partial
+// sets, which under-approximate the true ones. Then alias=true still names
+// a shared allocation site, but alias=false means unknown, not "no alias".
 func (s *Solver) Alias(a, b pag.NodeID, c pag.Context) (alias, ok bool) {
 	ra := s.PointsTo(a, c)
 	rb := s.PointsTo(b, c)

@@ -152,6 +152,27 @@ func TestFig2Alias(t *testing.T) {
 	}
 }
 
+// TestAliasAbortedNotOK: a budget too small for the points-to sub-queries
+// makes Alias report ok=false. The partial sets under-approximate, so an
+// aborted alias=true must still be a real alias, while an aborted
+// alias=false carries no information.
+func TestAliasAbortedNotOK(t *testing.T) {
+	f := fig2(t)
+	full := New(f.Lowered.Graph, Config{})
+	s := New(f.Lowered.Graph, Config{Budget: 1})
+	for _, p := range [][2]pag.NodeID{
+		{f.ThisVector, f.ThisGet}, {f.TAdd, f.TGet}, {f.S1, f.S2},
+	} {
+		a, ok := s.Alias(p[0], p[1], pag.EmptyContext)
+		if ok {
+			t.Fatalf("Alias(%d, %d) under budget 1 reported ok=true", p[0], p[1])
+		}
+		if want, _ := full.Alias(p[0], p[1], pag.EmptyContext); a && !want {
+			t.Fatalf("Alias(%d, %d) aborted with alias=true, but the pair does not alias", p[0], p[1])
+		}
+	}
+}
+
 // TestQueryInCallingContext exercises a non-empty initial context: querying
 // eadd in the context of call site 17 must see only n1's object.
 func TestQueryInCallingContext(t *testing.T) {

@@ -11,10 +11,11 @@ import (
 // FilterSnapshot slices an unsharded snapshot down to one shard's share of
 // warm state: the full graph (every replica needs it to resolve names and
 // validate the plan) with only the jmp-store and result-cache entries whose
-// key node the plan assigns to shard. Because jmp edges never cross
-// component boundaries and the plan keeps components whole, the dropped
-// entries are exactly the ones this replica could never read — the slice is
-// lossless for the queries the replica owns.
+// key node the plan assigns to shard. The slice is not lossless: jmp edges
+// cross component boundaries, so the replica's own queries can reach keys
+// on other shards, and those entries are dropped. Both stores are caches,
+// so the replica recomputes a dropped entry when it needs one; its answers
+// are unchanged and only the steps spent re-walking differ.
 //
 // The returned snapshot embeds the plan and stamps Meta.Shard/NumShards so
 // a later warm start can verify it is restoring the slice it was given.

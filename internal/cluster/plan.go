@@ -5,15 +5,21 @@
 // must be sent to).
 //
 // The partition key is the connected component of the direct relation —
-// sched.ComponentMap — because the paper's jmp edges never cross component
-// boundaries: a points-to traversal rooted in one component can only ever
-// read and write share-store entries keyed by nodes of that component. Two
-// queries in different components therefore share no state at all, which is
-// the perfectly-parallel decomposition the related on-demand data-flow work
-// formalises. Assigning whole components to shards makes every shard's
-// share store and result cache private by construction: no cross-shard
-// coherence, no cross-shard invalidation, and a sharded cluster answers
-// byte-identically to one unsharded daemon.
+// sched.ComponentMap. Components are a placement choice, not an isolation
+// boundary: a traversal's direct-relation walk stays inside its component,
+// but matching a load against the stores of its base's aliases follows
+// ld/st edges into other components, so jmp edges do cross component
+// boundaries. A query therefore reads and writes jmp-store and
+// result-cache entries keyed by nodes that another shard owns, and two
+// shards can hold entries for the same key (TestJmpKeysCrossComponents).
+//
+// Sharding is correct because both stores are caches: an entry only
+// shortcuts a walk the replica could take itself, so a missing or
+// duplicated entry changes the steps a query is charged, never the facts
+// of a completed answer. There is no cross-shard coherence to keep. What a
+// shard gives up is the other shards' warm state: it may re-walk what they
+// already recorded, and near the budget that can abort a query an
+// unsharded warm daemon would answer.
 //
 // A Plan is deterministic for a given (graph, shard count): components are
 // placed largest-first onto the least-loaded shard with index tie-breaks,

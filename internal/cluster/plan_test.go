@@ -8,11 +8,13 @@ import (
 	"reflect"
 	"testing"
 
+	"parcfl/internal/engine"
 	"parcfl/internal/frontend"
 	"parcfl/internal/javagen"
 	"parcfl/internal/pag"
 	"parcfl/internal/sched"
 	"parcfl/internal/server"
+	"parcfl/internal/share"
 	"parcfl/internal/snapshot"
 )
 
@@ -68,8 +70,10 @@ func TestPlanCoversEveryNodeExactlyOnce(t *testing.T) {
 }
 
 // TestPlanKeepsComponentsWhole: co-component nodes must always land on the
-// same shard — that is the whole correctness argument for private shard
-// stores.
+// same shard, so a query's direct-relation walk stays on the shard that
+// owns it. This is placement, not isolation: alias matching leaves the
+// component (TestJmpKeysCrossComponents), and shard correctness rests on
+// the stores being caches.
 func TestPlanKeepsComponentsWhole(t *testing.T) {
 	g := genBench(t).Graph
 	comp := sched.ComponentMap(g)
@@ -89,6 +93,38 @@ func TestPlanKeepsComponentsWhole(t *testing.T) {
 			shardOf[c] = p.NodeShards[v]
 		}
 	}
+}
+
+// TestJmpKeysCrossComponents pins that jmp edges do cross component
+// boundaries: a single-variable D query records jmp-store entries keyed by
+// nodes outside the variable's sched.ComponentMap component, because
+// matching a load against the stores of its base's aliases walks ld/st
+// edges into other components. Shard stores are therefore not disjoint,
+// and no code may rely on a component keeping its store entries private.
+func TestJmpKeysCrossComponents(t *testing.T) {
+	lo := genBench(t)
+	comp := sched.ComponentMap(lo.Graph)
+	total, outside := 0, 0
+	for _, v := range lo.AppQueryVars {
+		store := share.NewStore(share.DefaultConfig())
+		engine.Run(lo.Graph, []pag.NodeID{v}, engine.Config{
+			Mode: engine.D, Threads: 1, TypeLevels: lo.TypeLevels, Store: store,
+		})
+		_, entries := store.Export()
+		for _, e := range entries {
+			total++
+			if comp[e.Key.Node] != comp[v] {
+				outside++
+			}
+		}
+	}
+	if total == 0 {
+		t.Fatal("no jmp entries recorded; the program is too small to test")
+	}
+	if outside == 0 {
+		t.Fatalf("all %d jmp entries keyed inside their query's component; the test program no longer crosses components", total)
+	}
+	t.Logf("%d of %d jmp entries keyed outside the queried variable's component", outside, total)
 }
 
 // TestPlanDeterministic: the same (graph, n) must always produce the same

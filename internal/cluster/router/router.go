@@ -462,9 +462,11 @@ func (rt *Router) firstUp() *shardState {
 }
 
 // SumStats fetches every reachable shard's /v1/stats and sums the scalar
-// fields into one cluster-wide view (share/cache roll up too — the stores
-// are disjoint by construction, so sums are exact). UptimeNS reports the
-// router's own uptime.
+// fields into one cluster-wide view. Share and cache counters roll up too,
+// but the shard stores are not disjoint — one key can live on two shards —
+// so summed insert counts count such a key once per shard and can exceed
+// the distinct entries cluster-wide; lookup, hit and step counters sum
+// exactly. UptimeNS reports the router's own uptime.
 func (rt *Router) SumStats(ctx context.Context) (server.Stats, error) {
 	var out server.Stats
 	var firstErr error

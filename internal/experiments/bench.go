@@ -11,29 +11,19 @@ import (
 )
 
 // BenchSchema identifies the layout of one bench report; bump on breaking
-// changes so downstream trajectory tooling can reject files it does not
-// understand.
+// changes so downstream tooling can reject files it does not understand.
 const BenchSchema = "parcfl-bench/v1"
-
-// BenchHistorySchema identifies the BENCH_runs.json root: an append-only
-// list of labelled reports, so successive runs accumulate a trajectory
-// instead of clobbering each other. Legacy v1 files holding a single bare
-// report are read transparently (wrapped as the first history entry).
-const BenchHistorySchema = "parcfl-bench-history/v1"
 
 // benchDefaults are the presets the bench experiment runs when none are
 // named: the three smallest members of the suite, so the full 3 benchmarks
 // x 4 modes grid stays cheap enough for CI.
 var benchDefaults = []string{"_200_check", "_201_compress", "_209_db"}
 
-// BenchRun is one (benchmark, mode) cell of the trajectory grid.
+// BenchRun is one (benchmark, mode) cell of the bench grid.
 type BenchRun struct {
 	Bench   string `json:"bench"`
 	Mode    string `json:"mode"`
 	Threads int    `json:"threads"`
-	// Shards is the cluster width of a Serve-sharded-N row (0 for every
-	// single-process row).
-	Shards int `json:"shards,omitempty"`
 
 	WallNS int64 `json:"wall_ns"`
 
@@ -69,39 +59,9 @@ type BenchRun struct {
 	// Schedule shape (DQ only; zero otherwise).
 	NumGroups    int     `json:"num_groups"`
 	AvgGroupSize float64 `json:"avg_group_size"`
-
-	// Serving throughput (Serve-* rows only; zero otherwise): request
-	// rate and latency percentiles of the census replayed against a
-	// resident server (see internal/server).
-	QPS   float64 `json:"qps,omitempty"`
-	P50NS int64   `json:"p50_ns,omitempty"`
-	P99NS int64   `json:"p99_ns,omitempty"`
-
-	// Open-loop soak metrics (Serve-soak row only; zero otherwise): the
-	// census soaked at a fixed Poisson arrival rate against a warm server.
-	// The share columns attribute the summed request time to the server's
-	// lifecycle phases — drift here localises a regression (queueing vs
-	// solving vs fan-out) before the aggregate numbers move.
-	TargetQPS    float64 `json:"target_qps,omitempty"`
-	P999NS       int64   `json:"p999_ns,omitempty"`
-	OverloadRate float64 `json:"overload_rate,omitempty"`
-	AdmitShare   float64 `json:"admit_share,omitempty"`
-	QueueShare   float64 `json:"queue_share,omitempty"`
-	SolveShare   float64 `json:"solve_share,omitempty"`
-	FanoutShare  float64 `json:"fanout_share,omitempty"`
-
-	// Traversal-kernel throughput (kernel-on/off rows only; zero
-	// otherwise): budget steps retired per second of engine wall time, and
-	// heap allocations per query (runtime.MemStats.Mallocs delta over the
-	// census). The two rows answer one question — does the preprocessed
-	// dense form actually traverse faster and allocate less than the
-	// NodeCtx-keyed maps — on results asserted byte-identical.
-	StepsPerSec float64 `json:"steps_per_sec,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
-// BenchReport is one labelled grid of bench runs — one entry of the
-// BENCH_runs.json history.
+// BenchReport is one grid of bench runs: the BENCH_runs.json artifact.
 type BenchReport struct {
 	Schema    string  `json:"schema"`
 	Generated string  `json:"generated"` // RFC 3339
@@ -116,90 +76,10 @@ type BenchReport struct {
 	GoMaxProcs int `json:"go_max_procs"`
 	NumCPU     int `json:"num_cpu"`
 
-	// Label names the run (e.g. "baseline", "pr-12", "ci-smoke"); a
-	// re-run with the same non-empty label replaces the earlier entry in
-	// the history instead of appending a duplicate.
-	Label string `json:"label,omitempty"`
 	// GitRev is the source revision the binary was built from, when known.
 	GitRev string `json:"git_rev,omitempty"`
 
 	Runs []BenchRun `json:"runs"`
-}
-
-// BenchHistory is the root object of BENCH_runs.json: the accumulated
-// reports across runs.
-type BenchHistory struct {
-	Schema  string        `json:"schema"`
-	Reports []BenchReport `json:"reports"`
-}
-
-// Add merges rep into the history: an entry with the same non-empty label
-// is replaced in place (a re-run supersedes it); otherwise rep is appended.
-func (h *BenchHistory) Add(rep BenchReport) {
-	if rep.Label != "" {
-		for i := range h.Reports {
-			if h.Reports[i].Label == rep.Label {
-				h.Reports[i] = rep
-				return
-			}
-		}
-	}
-	h.Reports = append(h.Reports, rep)
-}
-
-// LoadBenchHistory reads an existing BENCH_runs.json. A missing file yields
-// an empty history; a legacy single-report file (schema parcfl-bench/v1 at
-// the root) is wrapped as the history's first entry.
-func LoadBenchHistory(path string) (*BenchHistory, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return &BenchHistory{Schema: BenchHistorySchema}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var probe struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	switch probe.Schema {
-	case BenchHistorySchema:
-		var h BenchHistory
-		if err := json.Unmarshal(data, &h); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &h, nil
-	case BenchSchema:
-		var rep BenchReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &BenchHistory{Schema: BenchHistorySchema, Reports: []BenchReport{rep}}, nil
-	default:
-		return nil, fmt.Errorf("%s: unknown schema %q", path, probe.Schema)
-	}
-}
-
-// WriteBenchHistory merges rep into the history at path (creating it if
-// absent) and writes the result back as indented JSON. It returns the
-// resulting history size.
-func WriteBenchHistory(path string, rep BenchReport) (int, error) {
-	h, err := LoadBenchHistory(path)
-	if err != nil {
-		return 0, err
-	}
-	h.Add(rep)
-	data, err := json.MarshalIndent(h, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return 0, err
-	}
-	return len(h.Reports), nil
 }
 
 // benchRunFrom flattens engine stats into one grid cell.
@@ -266,7 +146,6 @@ func BenchGrid(opts Options) (*BenchReport, error) {
 		Threads:    opts.Threads,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Label:      opts.Label,
 		GitRev:     opts.GitRev,
 	}
 	for _, pr := range presets {
@@ -280,7 +159,7 @@ func BenchGrid(opts Options) (*BenchReport, error) {
 			_, st := b.runMode(mode, opts.Threads, opts.Budget, 0, 0)
 			rep.Runs = append(rep.Runs, benchRunFrom(pr.Name, st, seq))
 		}
-		// One extra DQ run with the result cache on, so the trajectory
+		// One extra DQ run with the result cache on, so the report
 		// includes a meaningful cache hit-rate signal.
 		_, cached := engine.Run(b.Lowered.Graph, b.Queries, engine.Config{
 			Mode: engine.DQ, Threads: opts.Threads, Budget: opts.Budget,
@@ -289,39 +168,13 @@ func BenchGrid(opts Options) (*BenchReport, error) {
 		cr := benchRunFrom(pr.Name, cached, seq)
 		cr.Mode = cached.Mode.String() + "+cache"
 		rep.Runs = append(rep.Runs, cr)
-		// Serving rows: the census replayed against a resident server,
-		// cold and then warm through the snapshot codec, so benchdiff
-		// gates daemon throughput and the warm-start win.
-		serve, err := ServeRows(b, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs = append(rep.Runs, serve...)
-		// Sharded serving rows: the census through a loopback cluster of 1,
-		// 2 and 4 plan-sliced replicas behind a router, so benchdiff gates
-		// the cluster path's throughput (and the N=1 row prices the router's
-		// own overhead against Serve-cold).
-		shardRows, err := ShardedRows(b, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs = append(rep.Runs, shardRows...)
-		// Kernel rows: the sequential census with the preprocessed
-		// traversal kernel off and on, results asserted identical, so the
-		// trajectory records the layout's steps/sec and allocs/op win.
-		kern, err := KernelRows(b, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.Runs = append(rep.Runs, kern...)
 	}
 	return rep, nil
 }
 
-// BenchTrajectory runs the benchmark-trajectory grid, prints a summary
-// table, and — when Options.JSONPath is set — writes the full report there
-// as indented JSON (the BENCH_runs.json artifact). Registered as the
-// "bench" experiment.
+// BenchTrajectory runs the bench grid, prints a summary table, and — when
+// Options.JSONPath is set — writes the full report there as indented JSON
+// (the BENCH_runs.json artifact). Registered as the "bench" experiment.
 func BenchTrajectory(opts Options) error {
 	opts = opts.withDefaults()
 	rep, err := BenchGrid(opts)
@@ -329,7 +182,7 @@ func BenchTrajectory(opts Options) error {
 		return err
 	}
 	w := opts.Out
-	fmt.Fprintf(w, "Bench trajectory: %d runs (scale=%.4g, B=%d, %d threads)\n",
+	fmt.Fprintf(w, "Bench grid: %d runs (scale=%.4g, B=%d, %d threads)\n",
 		len(rep.Runs), rep.Scale, rep.Budget, rep.Threads)
 	if rep.Threads > rep.NumCPU {
 		fmt.Fprintf(w, "warning: %d threads on %d cores — workers are time-sharing, so wallX underestimates parallel scaling; read the modeled column instead\n",
@@ -344,12 +197,14 @@ func BenchTrajectory(opts Options) error {
 			100*r.ShareHitRate, 100*r.CacheHitRate)
 	}
 	if opts.JSONPath != "" {
-		n, err := WriteBenchHistory(opts.JSONPath, *rep)
+		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "\nwrote %s (%s, %d runs, %d reports in history)\n",
-			opts.JSONPath, rep.Schema, len(rep.Runs), n)
+		if err := os.WriteFile(opts.JSONPath, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nwrote %s (%s, %d runs)\n", opts.JSONPath, rep.Schema, len(rep.Runs))
 	}
 	return nil
 }

@@ -48,13 +48,9 @@ type Options struct {
 	// Out receives the report (default os.Stdout set by the caller).
 	Out io.Writer
 	// JSONPath, when set, makes JSON-emitting experiments (currently only
-	// "bench") write their machine-readable report to this file. The file
-	// holds a history of labelled reports; re-running merges instead of
-	// clobbering.
+	// "bench") write their machine-readable report to this file,
+	// replacing it.
 	JSONPath string
-	// Label names the report in the history (same non-empty label =
-	// replace, otherwise append).
-	Label string
 	// GitRev stamps the report with the source revision, when known.
 	GitRev string
 }

@@ -141,36 +141,3 @@ func TestKernelModeWitnessEquivalence(t *testing.T) {
 		t.Fatal("no witnesses exercised; preset or scale too small")
 	}
 }
-
-// TestKernelRows: the grid rows run, assert equality internally, and show
-// the kernel reducing allocations per query.
-func TestKernelRows(t *testing.T) {
-	pr, err := javagen.PresetByName("_201_compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PrepareBench(pr, 0.004)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := KernelRows(b, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	off, on := rows[0], rows[1]
-	if off.Mode != "seq+kernel-off" || on.Mode != "seq+kernel-on" {
-		t.Fatalf("modes %q/%q", off.Mode, on.Mode)
-	}
-	if off.TotalSteps != on.TotalSteps {
-		t.Fatalf("steps diverge: %d off, %d on", off.TotalSteps, on.TotalSteps)
-	}
-	if off.StepsPerSec <= 0 || on.StepsPerSec <= 0 {
-		t.Fatalf("steps/sec not recorded: off %.0f, on %.0f", off.StepsPerSec, on.StepsPerSec)
-	}
-	if on.AllocsPerOp >= off.AllocsPerOp {
-		t.Fatalf("kernel-on allocs/op %d not below kernel-off %d", on.AllocsPerOp, off.AllocsPerOp)
-	}
-}

@@ -10,15 +10,14 @@ import (
 	"time"
 
 	"parcfl/internal/server"
-	"parcfl/internal/snapshot"
 )
 
-// Open-loop soak harness. The serve rows replay the census as fast as the
-// server will take it (closed loop: a slow server slows the clients down,
-// hiding queueing). A soak instead fires requests at a fixed Poisson rate
+// Open-loop soak harness. A closed-loop client waits for each reply before
+// sending the next, so a slow server slows its clients down and hides
+// queueing. A soak instead fires requests at a fixed Poisson rate
 // regardless of how the server is doing — the open-loop shape that exposes
 // queue growth, overload shedding and tail latency inflation — and reports
-// a machine-readable summary suitable for gating.
+// a machine-readable summary (cmd/parcflload, make soak-smoke).
 
 // SoakSchema identifies the layout of one soak report; bump on breaking
 // changes.
@@ -272,80 +271,4 @@ func RunSoak(opts SoakOptions, numVars int, do func(ctx context.Context, varIdx 
 		rep.Phases.FanoutShare = float64(rep.Phases.FanoutNS) / float64(tot)
 	}
 	return rep
-}
-
-// soakRate picks the Serve-soak arrival rate from the warm closed-loop
-// throughput: well under saturation (the soak gates steady-state phase
-// shares and tail latency, not the overload cliff), bounded so tiny or huge
-// benches still produce a meaningful, cheap run.
-func soakRate(warmQPS float64) float64 {
-	r := 0.6 * warmQPS
-	if r < 50 {
-		r = 50
-	}
-	if r > 2000 {
-		r = 2000
-	}
-	return r
-}
-
-// SoakRow runs an open-loop soak against a warm server (restored from snap,
-// exactly what the resident daemon serves after a restart) and flattens the
-// report into one bench grid row. Queries is pinned to the census size — the
-// run's identity for benchdiff comparability — while Completed records how
-// many soak requests actually succeeded.
-func SoakRow(b *Bench, snap *snapshot.Snapshot, warmQPS float64, opts Options) (BenchRun, error) {
-	srv := server.NewFromSnapshot(snap, server.Config{
-		Threads: opts.Threads, Budget: opts.Budget,
-		QueryVars: b.Lowered.AppQueryVars, ResultCache: true,
-		BatchWindow: 200 * time.Microsecond,
-	})
-	defer srv.Close()
-
-	queries := b.Queries
-	rep := RunSoak(SoakOptions{
-		Rate:     soakRate(warmQPS),
-		Duration: 1200 * time.Millisecond,
-		Seed:     42,
-		Retry:    true,
-	}, len(queries), func(ctx context.Context, i int, rid string) (server.Timings, error) {
-		// Propagate the soak-minted rid into the in-process path (the
-		// RunSoak contract): with exemplars enabled on the server's sink,
-		// the report's slowest-request IDs resolve to daemon-side latency
-		// buckets and trace lanes, same as an HTTP client's header rid.
-		a, err := srv.QueryRequest(server.WithRID(ctx, rid), queries[i])
-		return a.Timings, err
-	})
-	if rep.Errored > 0 {
-		return BenchRun{}, fmt.Errorf("soak %s: %d hard errors (first-class failures, not shedding)",
-			b.Preset.Name, rep.Errored)
-	}
-
-	st := srv.Stats()
-	return BenchRun{
-		Bench:   b.Preset.Name,
-		Mode:    "Serve-soak",
-		Threads: opts.Threads,
-
-		WallNS: rep.DurationNS,
-
-		Queries:   len(queries),
-		Completed: int(rep.Succeeded),
-
-		CacheHits:    st.Cache.Hits,
-		CacheMisses:  st.Cache.Misses,
-		CacheHitRate: st.Cache.HitRate(),
-
-		QPS:    rep.QPS,
-		P50NS:  rep.P50NS,
-		P99NS:  rep.P99NS,
-		P999NS: rep.P999NS,
-
-		TargetQPS:    rep.TargetQPS,
-		OverloadRate: rep.OverloadRate,
-		AdmitShare:   rep.Phases.AdmitShare,
-		QueueShare:   rep.Phases.QueueShare,
-		SolveShare:   rep.Phases.SolveShare,
-		FanoutShare:  rep.Phases.FanoutShare,
-	}, nil
 }

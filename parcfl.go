@@ -233,9 +233,10 @@ func (a *Analyzer) FlowsTo(obj NodeID, ctx Context, o QueryOptions) Result {
 }
 
 // Alias reports whether x and y may alias (their points-to sets intersect on
-// an allocation site). ok is false if either sub-query ran out of budget, in
-// which case the answer is a may-alias over-approximation of the partial
-// sets.
+// an allocation site). ok is false if either sub-query ran out of budget;
+// the answer then comes from partial sets, which under-approximate the true
+// ones, so alias=true still names a shared allocation site but alias=false
+// means unknown, not "no alias".
 func (a *Analyzer) Alias(x, y NodeID, ctx Context, o QueryOptions) (alias, ok bool) {
 	return a.solver(o).Alias(x, y, ctx)
 }

@@ -141,6 +141,10 @@ func TestPublicAPIAlias(t *testing.T) {
 	if al, _ := a.Alias(n1, n2, EmptyContext, QueryOptions{}); al {
 		t.Fatal("n1 alias n2")
 	}
+	// A budget too small to finish the points-to sub-queries yields ok=false.
+	if _, ok := a.Alias(thisVector, thisGet, EmptyContext, QueryOptions{Budget: 1}); ok {
+		t.Fatal("Alias under budget 1 reported ok=true")
+	}
 }
 
 func TestPublicAPIBatchModes(t *testing.T) {
